@@ -97,7 +97,6 @@ arena-smoke:
 fuzz:
 	$(GO) test -fuzz=FuzzPersistRoundTrip -fuzztime=30s ./internal/predict/
 	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=30s ./internal/signaling/
-	$(GO) test -fuzz=FuzzIncrementalBr -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzSnapshotDecode -fuzztime=30s ./internal/service/
 
 # soak-smoke is the CI-sized service soak: one full pass up the

@@ -20,7 +20,8 @@
 //
 // With -check the tool also gates: a current allocation profile
 // (B/op, allocs/op) more than -max-regression worse than the pinned
-// baseline fails, as does — with -check-time, for runs on the machine
+// baseline fails (against an allocation-free baseline, any allocation
+// does), as does — with -check-time, for runs on the machine
 // that recorded the baseline — a ns/op regression. -min-scaling fails
 // when the best shards=N scaling falls short of the requested factor,
 // capped by the cores the host actually has (a single-core machine
@@ -99,16 +100,20 @@ func check(rep report, maxRegression float64, checkTime bool) error {
 	worse := func(cur, base float64) bool {
 		return base > 0 && cur > base*(1+maxRegression)
 	}
+	// An allocation-free baseline binds too: any allocation regresses it.
+	allocWorse := func(cur, base float64) bool {
+		return cur > base*(1+maxRegression)
+	}
 	for _, name := range names {
 		base, ok := rep.Baseline[name]
 		if !ok {
 			continue
 		}
 		cur := rep.Current[name]
-		if worse(cur.BytesPerOp, base.BytesPerOp) {
+		if allocWorse(cur.BytesPerOp, base.BytesPerOp) {
 			bad = append(bad, fmt.Sprintf("%s: %.0f B/op vs baseline %.0f", name, cur.BytesPerOp, base.BytesPerOp))
 		}
-		if worse(cur.AllocsPerOp, base.AllocsPerOp) {
+		if allocWorse(cur.AllocsPerOp, base.AllocsPerOp) {
 			bad = append(bad, fmt.Sprintf("%s: %.0f allocs/op vs baseline %.0f", name, cur.AllocsPerOp, base.AllocsPerOp))
 		}
 		if checkTime && worse(cur.NsPerOp, base.NsPerOp) {

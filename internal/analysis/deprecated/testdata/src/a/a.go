@@ -1,7 +1,6 @@
 // Package a is the deprecated-analyzer fixture: cross-package registry
-// matches (the regression shape — internal/core/eq5cache_test.go
-// called both wrappers until this PR deleted them) and the generic
-// same-package "Deprecated:" doc mode.
+// matches (the regression shape — core's own tests once called both
+// wrappers) and the generic same-package "Deprecated:" doc mode.
 package a
 
 import "cellqos/internal/core"

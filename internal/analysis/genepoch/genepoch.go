@@ -1,20 +1,19 @@
-// Package genepoch guards the generation-epoch discipline of the Eq. 5
-// fast path (DESIGN.md §11). Estimator-derived quantities
+// Package genepoch guards the generation-epoch discipline of
+// estimator-derived values (DESIGN.md §11). Estimator-derived quantities
 // (SurvivorWeight, HandOffWeight, selected-sample views, ...) are only
 // valid for the estimator generation they were computed at: Record,
 // ReadFrom, eviction sweeps and lazy rebuilds all bump Generation(),
 // and any state cached across such a bump silently drifts from the
-// from-scratch Eq. 5 walk — the exact bug class the eq5 cache's
-// matches() check exists to prevent.
+// from-scratch Eq. 5 walk.
 //
 // The analyzer is a function-local, statement-order heuristic: inside
 // one function body, a value derived from an estimator query, followed
 // by a generation-bumping mutation, followed by a read of the stale
 // value with no interleaved Generation() comparison, is flagged.
-// Cross-function caching (struct fields) is covered at runtime by
-// audit.Checker.Eq5Cache; this analyzer catches the local form at vet
-// time. Test files are skipped: before/after-mutation comparisons are
-// the legitimate idiom of the estimator's own tests.
+// Cross-function caching (struct fields) is out of its reach; Eq. 5
+// avoids that form entirely by walking the sum from scratch on every
+// query (DESIGN.md §14). Test files are skipped: before/after-mutation
+// comparisons are the legitimate idiom of the estimator's own tests.
 package genepoch
 
 import (
@@ -36,25 +35,17 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // derivedMethods produce generation-scoped values.
-// AppendSojournBreakpoints feeds the materialized Eq. 5 view's
-// staleness guards (DESIGN.md §14): the breakpoint tables it returns
-// are a pure function of the current selection and die with it.
 var derivedMethods = map[string]bool{
 	"SurvivorWeight": true, "HandOffWeight": true, "HandOffProb": true,
 	"HandOffProbsInto": true, "VisitHandOffProbs": true, "SojournProb": true,
 	"AppendSelected": true, "Selected": true, "SelectedCount": true,
-	"MaxSojourn": true, "AppendSojournBreakpoints": true,
+	"MaxSojourn": true,
 }
 
-// mutatorMethods bump the generation epoch. EnsureCurrent belongs here
-// even though it exists to *pin* the epoch: forcing every lazy
-// selection current at a timestamp performs exactly the rebuilds that
-// would otherwise fire mid-query, so any value derived before the call
-// may be dead after it — the returned generation is for comparing
-// against a recorded epoch, not a license to keep older state.
+// mutatorMethods bump the generation epoch.
 var mutatorMethods = map[string]bool{
 	"Record": true, "ReadFrom": true, "SweepAt": true, "EvictBefore": true,
-	"EnsureCurrent": true, "Reset": true, "Merge": true,
+	"Reset": true, "Merge": true,
 }
 
 // estimatorReceiver reports whether the method's receiver is an

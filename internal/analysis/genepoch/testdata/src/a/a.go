@@ -1,9 +1,9 @@
 // Package a is the genepoch fixture: estimator-derived values cached
 // across a generation bump, next to the approved re-derive and
-// Generation()-gated forms. The stale-read shape is exactly the bug
-// class the PR-4 eq5 cache's matches() check exists to rule out — an
-// early draft cached per-connection denominators across Record and
-// drifted from the from-scratch Eq. 5 walk.
+// Generation()-gated forms. The stale-read shape is the bug class any
+// cache of estimator-derived values must rule out — an early Eq. 5
+// memo kept per-connection denominators across Record and drifted from
+// the from-scratch walk.
 package a
 
 import "cellqos/internal/predict"
@@ -31,8 +31,7 @@ func rederived(e *predict.Estimator, q predict.Quadruplet) float64 {
 	return denom
 }
 
-// generationGated compares epochs before trusting the cache — the
-// eq5cache.matches() discipline.
+// generationGated compares epochs before trusting the cached value.
 func generationGated(e *predict.Estimator, q predict.Quadruplet, cachedGen uint64) float64 {
 	denom := e.SurvivorWeight(100, 1, 5)
 	e.Record(q)
@@ -56,48 +55,4 @@ func allowEscapeHatch(e *predict.Estimator, q predict.Quadruplet) float64 {
 	denom := e.SurvivorWeight(100, 1, 5)
 	e.Record(q)
 	return denom //cellqos:allow genepoch fixture: intentional before/after comparison
-}
-
-// The incremental-view shapes (DESIGN.md §14): the materialized Eq. 5
-// view caches breakpoint tables and guard state derived from
-// AppendSojournBreakpoints, and EnsureCurrent — the view's own pinning
-// hook — performs the lazy rebuilds that kill such state.
-
-// staleBreakpoints caches a guard table, lets Record move the epoch,
-// then trusts the dead table.
-func staleBreakpoints(e *predict.Estimator, q predict.Quadruplet, buf []float64) float64 {
-	bps := e.AppendSojournBreakpoints(buf[:0], 100, 1)
-	e.Record(q)
-	return bps[0] // want `bps \(from AppendSojournBreakpoints\) is read after Record bumped the estimator generation`
-}
-
-// staleAcrossEnsure caches a denominator, then pins the estimator at a
-// later timestamp: EnsureCurrent may have rebuilt the selection the
-// denominator came from.
-func staleAcrossEnsure(e *predict.Estimator) float64 {
-	denom := e.SurvivorWeight(100, 1, 5)
-	_ = e.EnsureCurrent(200)
-	return denom // want `denom \(from SurvivorWeight\) is read after EnsureCurrent bumped the estimator generation`
-}
-
-// ensureThenDerive is the view's rebuild discipline: pin first, derive
-// after — nothing outlives a bump.
-func ensureThenDerive(e *predict.Estimator, buf []float64) float64 {
-	gen := e.EnsureCurrent(200)
-	bps := e.AppendSojournBreakpoints(buf[:0], 200, 1)
-	if gen != e.Generation() {
-		return -1
-	}
-	return bps[0]
-}
-
-// ensureGated keeps pre-pin state only behind a Generation()
-// comparison — the advance path's epoch check.
-func ensureGated(e *predict.Estimator, cachedGen uint64, buf []float64) float64 {
-	bps := e.AppendSojournBreakpoints(buf[:0], 100, 1)
-	_ = e.EnsureCurrent(200)
-	if e.Generation() != cachedGen {
-		return -1
-	}
-	return bps[0]
 }

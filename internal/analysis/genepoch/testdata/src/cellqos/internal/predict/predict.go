@@ -28,14 +28,3 @@ func (e *Estimator) HandOffWeight(t0 float64, prev, next int, extSoj, test float
 
 // MaxSojourn is a generation-scoped selected-sample bound.
 func (e *Estimator) MaxSojourn(t0 float64) float64 { return 1 }
-
-// EnsureCurrent forces every lazy selection current at t0 (performing
-// any pending generation-bumping rebuilds) and returns the pinned
-// generation.
-func (e *Estimator) EnsureCurrent(t0 float64) uint64 { e.gen++; return e.gen }
-
-// AppendSojournBreakpoints is the generation-scoped breakpoint query
-// behind the materialized Eq. 5 view's staleness guards.
-func (e *Estimator) AppendSojournBreakpoints(dst []float64, t0 float64, prev int) []float64 {
-	return append(dst, 1)
-}

@@ -213,3 +213,20 @@ func TestHistoryRejectsFutureClock(t *testing.T) {
 		ck.History("cell 0", 50, e)
 	})
 }
+
+// TestCleanPassAllocationFree pins the sweep's clean path at zero
+// allocations: ledger and counter snapshots are formatted only when a
+// check fails, so an audited run pays nothing for labels it never
+// prints.
+func TestCleanPassAllocationFree(t *testing.T) {
+	var ck Checker
+	l := goodLedger()
+	ct := stats.Counters{Requested: 10, Blocked: 2, HandOffs: 5, Dropped: 1}
+	allocs := testing.AllocsPerRun(100, func() {
+		ck.Engine("cell 3", 42.5, l)
+		ck.Counters("cell 3", 42.5, ct)
+	})
+	if allocs != 0 {
+		t.Fatalf("clean Engine+Counters pass allocates %v times, want 0", allocs)
+	}
+}

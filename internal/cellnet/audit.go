@@ -23,30 +23,18 @@ import (
 func (n *Network) auditNow() {
 	ck := n.cfg.Audit
 	now := n.now()
-	n.auditTick++
-	// The Eq. 5 cache re-derivation repeats every cached direction's
-	// from-scratch walk — by far the costliest check here — so it runs
-	// on a stride of the already-sampled audit passes. The property test
-	// and core unit tests cover the invariant densely; this sweep only
-	// needs to catch drift in real simulation traffic eventually.
-	const eq5Stride = 4
-	checkEq5 := n.auditTick%eq5Stride == 0
 	engineConns := 0
 	var sys stats.Counters
 	for _, c := range n.cells {
-		name := fmt.Sprintf("cell %d", c.id)
 		l := c.engine.Ledger()
-		ck.Engine(name, now, l)
-		if checkEq5 {
-			ck.Eq5Cache(name, now, c.engine)
-		}
-		ck.Counters(name, now, c.counters)
+		ck.Engine(c.label, now, l)
+		ck.Counters(c.label, now, c.counters)
 		if !n.cfg.Faults.Enabled && (l.DegradedBrCalcs != 0 || l.DegradedAdmissions != 0) {
 			// A fault-free in-process network can never lose a peer
 			// exchange; any degraded-mode accounting here means an
 			// ok=false path fired spuriously and the fallback policy is
 			// silently distorting B_r.
-			ck.Failf("degraded-accounting", name, now, fmt.Sprintf("%+v", l),
+			ck.Failf("degraded-accounting", c.label, now, fmt.Sprintf("%+v", l),
 				"fault-free run recorded %d degraded B_r calcs / %d degraded admissions",
 				l.DegradedBrCalcs, l.DegradedAdmissions)
 		}
@@ -80,7 +68,7 @@ func (n *Network) auditNow() {
 	}
 	for i, c := range n.cells {
 		if got := c.engine.PledgedBandwidth(); got != pledgedWant[i] {
-			ck.Failf("pledge-conservation", fmt.Sprintf("cell %d", c.id), now,
+			ck.Failf("pledge-conservation", c.label, now,
 				fmt.Sprintf("pledged=%d expected=%d", got, pledgedWant[i]),
 				"engine pledge pool %d BUs != %d BUs pledged by live connections", got, pledgedWant[i])
 		}

@@ -42,6 +42,10 @@ type cell struct {
 	// (each is one request/response round trip on the signaling network).
 	exchanges uint64
 	trace     *Trace
+	// label locates the cell in audit violations ("cell <id>"); set
+	// once at construction, and only when auditing is configured, so
+	// the per-event sweep formats nothing on its clean path.
+	label string
 
 	// Asynchronous-signaling state (Config.Sharding.Async); nil/zero in
 	// the classic synchronous modes.
@@ -118,10 +122,6 @@ type Network struct {
 	specCache [][]topology.CellID
 	specOK    []bool
 
-	// auditTick counts auditNow passes; the expensive Eq. 5 cache
-	// re-derivation runs on a stride of it (see audit.go).
-	auditTick uint64
-
 	// barrierTick counts windowed-kernel barriers in the async model;
 	// the cross-shard audit samples on it (see network_async.go).
 	barrierTick uint64
@@ -170,6 +170,9 @@ func New(cfg Config) (*Network, error) {
 	for i := 0; i < num; i++ {
 		id := topology.CellID(i)
 		c := &cell{id: id, engine: core.NewEngine(cfg.engineConfig(id))}
+		if cfg.Audit != nil {
+			c.label = fmt.Sprintf("cell %d", id)
+		}
 		if single != nil {
 			c.sched = single
 		} else {

@@ -467,19 +467,12 @@ func (n *Network) onPeerQuery(srcID, nbID topology.CellID, liAtSrc topology.Loca
 // neighbors legitimately read as unreachable.
 func (n *Network) auditAsyncNow(now float64) {
 	ck := n.cfg.Audit
-	n.auditTick++
-	const eq5Stride = 4
-	checkEq5 := n.auditTick%eq5Stride == 0
 	engineConns := 0
 	var sys stats.Counters
 	for _, c := range n.cells {
-		name := fmt.Sprintf("cell %d", c.id)
 		l := c.engine.Ledger()
-		ck.Engine(name, now, l)
-		if checkEq5 {
-			ck.Eq5Cache(name, now, c.engine)
-		}
-		ck.Counters(name, now, c.counters)
+		ck.Engine(c.label, now, l)
+		ck.Counters(c.label, now, c.counters)
 		engineConns += l.Connections
 		sys.Add(&c.counters)
 	}

@@ -291,10 +291,6 @@ type Engine struct {
 	lastBr   float64 // B_r^prev: target reservation from the latest calculation
 	brCalcs  uint64  // lifetime count of Eq. 6 evaluations by this engine
 
-	// eq5 memoizes Eq. 5 state across the back-to-back queries of an
-	// admission burst; see eq5cache.go for the exactness rules.
-	eq5 eq5Cache
-
 	// Degraded-mode accounting (unreachable neighbors, Fallback policy).
 	// lastOut holds each neighbor's most recent successful Eq. 5 answer
 	// and lastOutAt when it was observed (NaN = never), feeding the
@@ -525,7 +521,6 @@ func (e *Engine) AddConnection(id ConnID, spec ConnSpec, now float64) int {
 	e.index[id] = i
 	e.conns = append(e.conns, conn{id: id, bw: grant, min: min, max: max, prev: spec.Prev, enteredAt: now, hint: hint, class: spec.Class})
 	e.used += grant
-	e.eq5Extend(i, now)
 	return grant
 }
 
@@ -535,9 +530,8 @@ func (e *Engine) AddConnection(id ConnID, spec ConnSpec, now float64) int {
 // even full degradation cannot make room, nothing changes and it
 // returns false.
 //
-// Grant changes leave any live Eq. 5 cache intact: reservation is based
-// on each connection's minimum QoS (conn.min), which up/downgrades
-// never touch.
+// Grant changes do not move Eq. 5: reservation is based on each
+// connection's minimum QoS (conn.min), which up/downgrades never touch.
 func (e *Engine) DowngradeToFit(need int) bool {
 	if need <= 0 {
 		panic(fmt.Sprintf("core: non-positive need %d", need))
@@ -683,12 +677,6 @@ func (e *Engine) RemoveConnection(id ConnID) {
 	}
 	e.conns = e.conns[:last]
 	delete(e.index, id)
-	// Mirror the swap-removal in the materialized Eq. 5 view: the
-	// per-connection state moves with the table and only the direction
-	// sums are re-accumulated (in the new table order, as a
-	// from-scratch walk now would — a float sum cannot be patched by
-	// subtraction).
-	e.eq5Remove(i, last)
 }
 
 // Connection returns a connection's bandwidth, origin and entry time.
@@ -711,9 +699,7 @@ func (e *Engine) RecordDeparture(q predict.Quadruplet) {
 	}
 	e.lock()
 	defer e.unlock()
-	preGen := e.patterns.Estimator(q.Event).Generation()
-	visible := e.patterns.Record(q)
-	e.eq5NoteRecord(q, visible, preGen)
+	e.patterns.Record(q)
 }
 
 // NoteHandOffArrival drives the T_est controller with one hand-off into
@@ -774,15 +760,12 @@ func (e *Engine) NoteHandOffArrival(now float64, dropped bool, peers Peers) {
 // this cell's hand-off estimation functions and each connection's extant
 // sojourn time.
 //
-// Results come from the materialized Eq. 5 view (eq5cache.go): the
-// per-connection Eq. 4 base state is maintained across events and
-// timestamps advance incrementally — only connections whose extant
-// sojourn crossed a selected-sojourn breakpoint are refreshed — so a
-// steady admission burst answers in O(live connections) guard checks
-// instead of re-walking every Eq. 4 query, allocation-free and
-// bit-identical to a from-scratch walk. A changed window, estimator, or
-// estimator generation forces a full rebuild; a cold direction pays one
-// term-materialization pass.
+// The sum is walked from scratch on every call, in connection-table
+// order, so repeated queries on unchanged state are bit-identical. No
+// cache sits in front of it: on the paper's workload a cell's
+// estimator changes, and each neighbor asks with its own T_est, between
+// almost every pair of queries, so a cache would rebuild far more often
+// than it hits (DESIGN.md §14).
 func (e *Engine) OutgoingReservation(now float64, toward topology.LocalIndex, test float64) float64 {
 	if m, ok := e.pol.(OutgoingModel); ok {
 		// Analytical model (the ExpDwell baseline): the policy replaces
@@ -795,25 +778,25 @@ func (e *Engine) OutgoingReservation(now float64, toward topology.LocalIndex, te
 	e.lock()
 	defer e.unlock()
 	est := e.patterns.Estimator(now)
-	c := &e.eq5
-	if !e.eq5Current(now, test, est) {
-		// No live view for this window/estimator/generation: build it
-		// from scratch, answering this direction in the same fused
-		// walk, so a key queried once costs one pass over the table —
-		// the same as the from-scratch walk.
-		c.misses++
-		return e.eq5Rebuild(now, test, est, toward)
-	}
-	t := int(toward)
-	if t >= 1 && t < len(c.done) && c.done[t] {
-		c.hits++
-		return c.sums[t]
-	}
-	c.misses++
-	sum := e.eq5Accumulate(toward)
-	if t >= 1 && t < len(c.done) {
-		c.sums[t] = sum
-		c.done[t] = true
+	sum := 0.0
+	for i := range e.conns {
+		c := &e.conns[i]
+		extSoj := now - c.enteredAt
+		if extSoj < 0 {
+			extSoj = 0
+		}
+		// Reservation is made on the basis of each connection's minimum
+		// QoS (§1: integration with adaptive-QoS schemes).
+		b := float64(c.min)
+		if c.hint != NoHint {
+			// §7 extension: the next cell is known; only the hand-off
+			// time is estimated.
+			if c.hint == toward {
+				sum += b * est.SojournProb(now, c.prev, c.hint, extSoj, test)
+			}
+			continue
+		}
+		sum += b * est.HandOffProb(now, c.prev, extSoj, test, toward)
 	}
 	return sum
 }

@@ -515,3 +515,47 @@ func TestEngineMaxSojourn(t *testing.T) {
 		t.Fatalf("MaxSojourn = %v, want 42", got)
 	}
 }
+
+func TestPeerValue(t *testing.T) {
+	cases := []struct {
+		name string
+		v    float64
+		ok   bool
+		want bool
+	}{
+		{"ok-positive", 12.5, true, true},
+		{"ok-zero", 0, true, true},
+		{"not-ok", 12.5, false, false},
+		{"nan", math.NaN(), true, false},
+		{"pos-inf", math.Inf(1), true, false},
+		{"neg-inf", math.Inf(-1), true, false},
+		{"negative", -0.5, true, false},
+	}
+	for _, tc := range cases {
+		v, ok := PeerValue(tc.v, tc.ok)
+		if ok != tc.want {
+			t.Errorf("%s: PeerValue(%v, %v) ok = %v, want %v", tc.name, tc.v, tc.ok, ok, tc.want)
+		}
+		if ok && v != tc.v {
+			t.Errorf("%s: PeerValue altered accepted value: %v -> %v", tc.name, tc.v, v)
+		}
+	}
+}
+
+// TestConnSpecForms pins the ConnSpec semantics the deleted
+// AddConnectionWithHint and AddElasticConnection wrappers delegated to:
+// a rigid hinted connection and an adaptive-QoS range (the deprecated
+// analyzer keeps any resurrection from going unnoticed).
+func TestConnSpecForms(t *testing.T) {
+	e := NewEngine(adaptiveConfig(AC1))
+	e.AddConnection(10, ConnSpec{Min: 3, Prev: 1, Hint: 2}, 100)
+	if c := e.conns[e.index[10]]; c.min != 3 || c.max != 3 || c.prev != 1 || c.hint != 2 {
+		t.Fatalf("hinted rigid ConnSpec: conn 10 = %+v, want rigid 3 from 1 hinted 2", c)
+	}
+	if grant := e.AddConnection(11, ConnSpec{Min: 2, Max: 6, Prev: topology.Self}, 100); grant != 6 {
+		t.Fatalf("adaptive ConnSpec grant = %d, want 6", grant)
+	}
+	if c := e.conns[e.index[11]]; c.min != 2 || c.max != 6 || c.hint != NoHint {
+		t.Fatalf("adaptive ConnSpec: conn 11 = %+v, want [2,6] unhinted", c)
+	}
+}

@@ -39,19 +39,6 @@ type Ledger struct {
 	DegradedBrCalcs    uint64
 	DegradedAdmissions uint64
 	LastBrDegraded     bool
-
-	// Materialized Eq. 5 view accounting (see eq5cache.go): lifetime
-	// full rebuilds, incremental timestamp advances, and per-connection
-	// refreshes during those advances. Diagnostics for the audit sweep
-	// and perf triage — a rebuild count tracking the event count means
-	// the view is thrashing instead of advancing.
-	Eq5Rebuilds  uint64
-	Eq5Advances  uint64
-	Eq5Refreshes uint64
-	// Eq5Adoptions counts estimator generations the view adopted in
-	// place after a provably invisible Record (see eq5NoteRecord) —
-	// rebuilds the adoption path spared.
-	Eq5Adoptions uint64
 }
 
 // Ledger snapshots the engine's accounting state atomically.
@@ -71,10 +58,6 @@ func (e *Engine) Ledger() Ledger {
 		DegradedBrCalcs:    e.degradedBrCalcs,
 		DegradedAdmissions: e.degradedAdmissions,
 		LastBrDegraded:     e.lastBrDegraded,
-		Eq5Rebuilds:        e.eq5.rebuilds,
-		Eq5Advances:        e.eq5.advances,
-		Eq5Refreshes:       e.eq5.refreshes,
-		Eq5Adoptions:       e.eq5.adoptions,
 	}
 	if e.tc != nil {
 		l.Test = e.tc.Test()

@@ -102,10 +102,9 @@ func (ps *PatternSet) LastEvent() float64 {
 }
 
 // Record routes a quadruplet to the estimator of its event time's
-// class, propagating that estimator's selection-visibility report (see
-// Estimator.Record).
-func (ps *PatternSet) Record(q Quadruplet) bool {
-	return ps.Estimator(q.Event).Record(q)
+// class.
+func (ps *PatternSet) Record(q Quadruplet) {
+	ps.Estimator(q.Event).Record(q)
 }
 
 // HandOffProb evaluates Eq. 4 against the estimator in force at t0.

@@ -335,24 +335,7 @@ func (e *Estimator) Evicted() uint64 { return e.evicted }
 // Record caches a hand-off event quadruplet. Events must arrive in
 // non-decreasing T_event order (simulation time is monotone); Record
 // panics otherwise, and on negative sojourns.
-//
-// The return value reports whether the record is *selection-visible*:
-// whether any sample selection the estimator serves can differ from
-// before. Under a stationary configuration (infinite T_int) the
-// selection of the affected (prev, next) pair is the multiset of its
-// newest N_quad sojourns with uniform weight, so recording into a full
-// pair a sojourn equal to the one evicted leaves every query —
-// probabilities, survivor weights, breakpoints, max sojourn —
-// bit-identical, and Record returns false. Generation-keyed caches may
-// then adopt the new generation instead of rebuilding. Windowed
-// configurations always return true: selections there depend on event
-// times, not just sojourn values.
-//
-// To make the post-Record generation stable for such adoption, the
-// stationary path rebuilds the pair's selection eagerly (it is
-// query-time-independent); the generation a caller observes after
-// Record is then final until the next mutation.
-func (e *Estimator) Record(q Quadruplet) bool {
+func (e *Estimator) Record(q Quadruplet) {
 	if q.Sojourn < 0 || math.IsNaN(q.Sojourn) {
 		panic(fmt.Sprintf("predict: bad sojourn %v", q.Sojourn))
 	}
@@ -367,22 +350,19 @@ func (e *Estimator) Record(q Quadruplet) bool {
 	if p == nil {
 		p = e.addPair(q.Prev, q.Next)
 	}
-	stationary := math.IsInf(e.cfg.Tint, 1)
-	visible := true
-	if stationary && len(p.raw) > 0 && len(p.raw) == e.cfg.NQuad && p.raw[0].sojourn == q.Sojourn {
-		// The append below evicts exactly p.raw[0]; trading it for an
-		// equal sojourn leaves the selected multiset unchanged.
-		visible = false
-	}
 	p.raw = append(p.raw, sample{event: q.Event, sojourn: q.Sojourn})
 	e.recorded++
 	e.prune(p, q.Event)
 	p.dirty = true
 	e.gen++
-	if stationary {
+	if math.IsInf(e.cfg.Tint, 1) {
+		// The stationary selection does not depend on the query time, so
+		// it is rebuilt here rather than lazily by the next query. That
+		// keeps the rebuild off the admission path: Record runs on a
+		// hand-off departure, while the next Eq. 4 query runs inside an
+		// admission test's Eq. 5–6 walk.
 		e.rebuildPair(p, q.Event)
 	}
-	return visible
 }
 
 // prune applies the paper's cache-management rules to one pair at the
@@ -752,42 +732,4 @@ func (e *Estimator) AppendSelected(dst []WeightedSample, t0 float64, prev topolo
 // paths use AppendSelected with a reused buffer.
 func (e *Estimator) Selected(t0 float64, prev topology.LocalIndex) []WeightedSample {
 	return e.AppendSelected(nil, t0, prev)
-}
-
-// EnsureCurrent refreshes every pair's windowed selection for query time
-// t0 and returns the resulting generation. It is the synchronization
-// point for callers that maintain state derived incrementally from the
-// selection (core's materialized Eq. 5 view): after EnsureCurrent(t0)
-// returns, no further query at the same t0 can trigger a lazy rebuild,
-// so the returned generation is stable for the rest of the caller's
-// work at t0. A caller compares it against the generation its derived
-// state was built under and falls back to a full rebuild on mismatch.
-func (e *Estimator) EnsureCurrent(t0 float64) uint64 {
-	e.ensureAll(t0)
-	return e.gen
-}
-
-// AppendSojournBreakpoints appends the sojourn time of every currently
-// selected sample reachable from prev to dst, sorts the appended tail
-// ascending, and returns dst. These are the breakpoints of the
-// piecewise-constant Eq. 4 queries in their extant-sojourn argument:
-// SurvivorWeight, HandOffWeight and SojournProb from prev change value
-// only when the (clamped) extant sojourn crosses one of them, because
-// every query reduces to binary searches over the pairs' selected
-// sojourns and the group selection is the union of its pairs'
-// selections. The list is valid for the generation under which it was
-// taken; callers re-fetch after the epoch moves. Passing a buffer with
-// spare capacity makes the call allocation-free.
-func (e *Estimator) AppendSojournBreakpoints(dst []float64, t0 float64, prev topology.LocalIndex) []float64 {
-	e.ensurePrev(prev, t0)
-	g := e.group(prev)
-	if g == nil {
-		return dst
-	}
-	start := len(dst)
-	for _, p := range g.pairs {
-		dst = append(dst, p.sojSorted...)
-	}
-	slices.Sort(dst[start:])
-	return dst
 }
